@@ -6,9 +6,9 @@ energy-managed tenants arriving on an open-loop process, stepped
 through :mod:`repro.fleet` under every registered policy at every power
 cap of :data:`CAPS_W` — the full grid of
 :mod:`repro.fleet.grid` over one drawn population. Profiles are built
-once (batched, multiprocess when ``--jobs`` asks, persisted in the
-fleet profile cache when the suite's cache is on) and shared by every
-cell. Reported per cell: aggregate energy against the
+once (batched, persisted in the fleet profile cache when the suite's
+cache is on) and shared by every cell, which fan out over worker
+processes when ``--jobs`` asks. Reported per cell: aggregate energy against the
 all-max-frequency baseline, mean and tail slowdown, SLA misses, and
 peak fleet power — plus the per-tenant static-oracle bound
 (:mod:`repro.energy.static_oracle`), the best any frequency-per-tenant
@@ -134,7 +134,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="output JSON path")
     parser.add_argument(
         "--jobs", "-j", type=int, default=1,
-        help="worker processes for the profile build and the grid cells",
+        help="worker processes for the grid cells",
     )
     parser.add_argument(
         "--no-cache",

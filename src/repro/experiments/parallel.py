@@ -9,30 +9,31 @@ results. This module exploits that:
 
 * a :class:`WorkItem` names one cell; drivers declare the cells they
   need via a module-level ``work(config)`` hook (see ``fig*.py``);
-* :func:`execute` fans the deduplicated items out over a
-  ``concurrent.futures.ProcessPoolExecutor``. Workers share one
-  :class:`~repro.experiments.cache.ResultCache` with the parent: each
-  worker persists its results under content-addressed keys and the
-  parent rehydrates them from disk, so no large trace ever crosses the
-  pipe;
+* :func:`execute` fans the deduplicated items out over
+  :mod:`repro.common.pool`, one per-benchmark batch per task. Workers
+  share one :class:`~repro.experiments.cache.ResultCache` with the
+  parent: each worker persists its results under content-addressed keys
+  and the parent rehydrates them from disk, so no large trace ever
+  crosses the pipe;
 * ``--jobs N`` on the CLI (or ``REPRO_JOBS``) picks the width; ``N=1``
   is a plain serial loop with no pool and no extra processes.
 
-Failures are contained: a work item that dies in a worker is recomputed
-serially in the parent, so parallelism is purely an optimization.
+Failures are contained: a work item whose worker raised or died is
+recomputed serially in the parent, so parallelism is purely an
+optimization.
 """
 
 from __future__ import annotations
 
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
+from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
-from repro.common.validation import resolve_jobs  # noqa: F401 — historical
-from repro.experiments.cache import ResultCache   # home of this module's API
+from repro.common.pool import each, exchange, partition, run_batches
+from repro.common.validation import resolve_jobs
+from repro.experiments.cache import ResultCache
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.setup import ExperimentConfig
 
@@ -81,12 +82,8 @@ class ExecutionReport:
 
     items: int = 0
     jobs: int = 1
-    #: Items whose worker raised; they were recomputed in the parent.
-    recovered: List[Tuple[WorkItem, str]] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.recovered is None:
-            self.recovered = []
+    #: Items a worker did not finish; they were recomputed in the parent.
+    recovered: List[Tuple[WorkItem, str]] = field(default_factory=list)
 
 
 # One runner per worker process, built by the pool initializer so every
@@ -94,9 +91,11 @@ class ExecutionReport:
 _WORKER_RUNNER: Optional[ExperimentRunner] = None
 
 
-def _init_worker(config: ExperimentConfig, cache_root: str) -> None:
+def _init_worker(config: ExperimentConfig, cache_root: str, sweep: bool) -> None:
     global _WORKER_RUNNER
-    _WORKER_RUNNER = ExperimentRunner(config, cache=ResultCache(cache_root))
+    _WORKER_RUNNER = ExperimentRunner(
+        config, cache=ResultCache(cache_root), sweep=sweep
+    )
 
 
 def _group_fixed(
@@ -113,57 +112,25 @@ def _group_fixed(
     return fixed, rest
 
 
-def _run_batch(
-    batch: Sequence[WorkItem],
-    use_batch: bool = False,
-) -> List[Tuple[WorkItem, Optional[str]]]:
-    """Compute one batch in a worker; results travel via the shared cache."""
+def _compute(item: WorkItem) -> None:
+    """Worker side of one item; the result travels via the shared cache."""
     assert _WORKER_RUNNER is not None, "worker used before initialization"
-    results: List[Tuple[WorkItem, Optional[str]]] = []
+    _apply(_WORKER_RUNNER, item)
+
+
+def _run_batch(batch: Sequence[WorkItem], use_batch: bool = False):
+    """Compute one batch in a worker: ``({item: None}, {item: error})``."""
+    assert _WORKER_RUNNER is not None, "worker used before initialization"
     if use_batch:
-        fixed, batch = _group_fixed(batch)
+        fixed, _ = _group_fixed(batch)
         for bench in sorted(fixed):
-            items = fixed[bench]
             try:
                 _WORKER_RUNNER.fixed_runs_batch(
-                    bench, [item.value for item in items]
+                    bench, [item.value for item in fixed[bench]]
                 )
-                results.extend((item, None) for item in items)
-            except Exception:  # contained: retry the lanes one by one
-                batch = items + list(batch)
-    for item in batch:
-        try:
-            _apply(_WORKER_RUNNER, item)
-            results.append((item, None))
-        except Exception as exc:  # contained: the parent recomputes
-            results.append((item, f"{type(exc).__name__}: {exc}"))
-    return results
-
-
-def _partition(grid: Sequence[WorkItem], jobs: int) -> List[List[WorkItem]]:
-    """Split the grid into batches that preserve per-benchmark reuse.
-
-    All of a benchmark's runs share its bundle — the built program and,
-    critically, the GC model's per-cycle cache, which costs as much to
-    rebuild as a simulation. Scattering a benchmark's frequencies across
-    workers rebuilds that state once per worker and can make the pool
-    *slower* than the serial loop, so the unit of distribution is a
-    per-benchmark batch; only when there are fewer benchmarks than
-    workers are the largest batches split (halving latency at the price
-    of one duplicated bundle build).
-    """
-    groups: dict = {}
-    for item in grid:
-        groups.setdefault(item.benchmark, []).append(item)
-    batches = list(groups.values())
-    while len(batches) < min(jobs, len(grid)):
-        batches.sort(key=lambda b: (-len(b), b[0]))
-        largest = batches[0]
-        if len(largest) <= 1:
-            break
-        mid = (len(largest) + 1) // 2
-        batches[:1] = [largest[:mid], largest[mid:]]
-    return sorted(batches)  # deterministic submission order
+            except Exception:  # contained: the lanes retry one by one
+                pass
+    return each(batch, _compute)
 
 
 def _apply(runner: ExperimentRunner, item: WorkItem):
@@ -192,47 +159,44 @@ def execute(
     failed batched call falls back to per-item runs before the parent's
     serial recovery kicks in.
 
-    A runner without a persistent cache gets an ephemeral one for the
-    life of the process (under the system temp dir), since workers and
-    parent need a common store to exchange results through.
+    A runner without a persistent cache borrows a temporary one for the
+    call (workers and parent need a common store to exchange results
+    through); it is removed, and ``runner.cache`` reset to ``None``,
+    before this returns — the results stay in the runner's memory.
     """
     grid = sorted(set(items))
     jobs = resolve_jobs(jobs)
-    report = ExecutionReport(items=len(grid), jobs=jobs)
-    if jobs == 1 or len(grid) <= 1:
-        report.jobs = 1
+    report = ExecutionReport(items=len(grid), jobs=jobs if len(grid) > 1 else 1)
+    if report.jobs == 1:
         if batch:
-            fixed, rest = _group_fixed(grid)
+            fixed, _ = _group_fixed(grid)
             for bench in sorted(fixed):
                 runner.fixed_runs_batch(
                     bench, [item.value for item in fixed[bench]]
                 )
-            grid_serial = rest
-        else:
-            grid_serial = grid
-        for item in grid_serial:
-            _apply(runner, item)
+        for item in grid:
+            _apply(runner, item)  # a memo hit for batched items
         return report
 
-    if runner.cache is None:
-        runner.cache = ResultCache(
-            tempfile.mkdtemp(prefix="repro-ephemeral-cache-")
-        )
-    batches = _partition(grid, jobs)
-    failures = {}
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(batches)),
-        initializer=_init_worker,
-        initargs=(runner.config, str(runner.cache.root)),
-    ) as pool:
-        run_one = partial(_run_batch, use_batch=batch)
-        for results in pool.map(run_one, batches, chunksize=1):
-            for item, error in results:
-                if error is not None:
-                    failures[item] = error
-    for item in grid:
-        error = failures.get(item)
-        if error is not None:
-            report.recovered.append((item, error))
-        _apply(runner, item)  # cache hit for worker-computed items
+    borrowed = runner.cache is None
+    with exchange(None if borrowed else runner.cache.root) as root:
+        if borrowed:
+            runner.cache = ResultCache(root)
+        try:
+            # One batch per benchmark: its runs share the bundle and the
+            # GC model's per-cycle cache, as costly to rebuild as a run.
+            _, failures = run_batches(
+                partition(grid, attrgetter("benchmark"), jobs),
+                partial(_run_batch, use_batch=batch),
+                jobs,
+                initializer=_init_worker,
+                initargs=(runner.config, root, runner.sweep),
+            )
+            for item in grid:
+                if item in failures:
+                    report.recovered.append((item, failures[item]))
+                _apply(runner, item)  # cache hit for worker-computed items
+        finally:
+            if borrowed:
+                runner.cache = None
     return report

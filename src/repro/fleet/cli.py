@@ -4,24 +4,26 @@ Subcommands::
 
     repro-fleet run --tenants 1000 --seed 42           # one policy, dashboard
     repro-fleet run --tenants 200 --policy tail-allocator --out fleet.json
-    repro-fleet run --tenants 2000 --jobs 4            # multiprocess build
     repro-fleet run --tenants 64 --serve-workers 2     # + wire validation
     repro-fleet report fleet.json                      # re-render a saved run
     repro-fleet compare --tenants 200 --seed 7         # all policies, one table
     repro-fleet grid --tenants 512 --out grid.json     # policy x cap figure
+    repro-fleet grid --tenants 512 --jobs 4            # cells over 4 workers
     repro-fleet cache stats                            # the profile store
     repro-fleet cache clear
 
 ``run`` is deterministic from ``--seed``: the same invocation writes a
-byte-identical ``--out`` file every time, at any ``--jobs`` width, cold
-or warm. Simulated tenant profiles persist in a content-addressed store
+byte-identical ``--out`` file every time, cold or warm, with or without
+the store. Simulated tenant profiles persist in a content-addressed store
 (``~/.cache/repro/fleet-profiles``, override with ``REPRO_CACHE_DIR``
 or ``--cache-dir``; ``--no-cache`` opts out) keyed by everything that
 determines the trace, so repeat runs — and every cell of a ``grid`` or
 ``compare`` — skip the simulation. ``compare`` runs several policies
 over the *same* drawn fleet (profiles built once and shared) and
-reports each against the per-tenant static oracle. ``--profile`` wraps
-any run in cProfile and dumps pstats.
+reports each against the per-tenant static oracle. ``grid --jobs N``
+fans the grid cells out over N worker processes (identical figure
+bytes at any width). ``--profile`` wraps any run in cProfile and dumps
+pstats.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ def _fleet_config(args: argparse.Namespace, policy: str) -> FleetConfig:
         batch=not args.no_batch,
         corpus_dirs=tuple(args.corpus or ()),
         serve_workers=getattr(args, "serve_workers", 0),
-        jobs=args.jobs,
     )
 
 
@@ -202,9 +203,6 @@ def _add_fleet_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--corpus", action="append", metavar="DIR",
                         help="directory of promoted tenant specs "
                              "(repeatable)")
-    parser.add_argument("--jobs", "-j", type=int, default=1,
-                        help="worker processes for the profile build "
-                             "(default 1; identical results at any width)")
     parser.add_argument("--cache-dir", default=None,
                         help="profile store location (default: "
                              "REPRO_CACHE_DIR/fleet-profiles or "
@@ -257,6 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fleet_options(grid)
     grid.add_argument("--policies", default=None,
                       help="comma-separated subset (default: all)")
+    grid.add_argument("--jobs", "-j", type=int, default=1,
+                      help="worker processes for the grid cells "
+                           "(default 1; identical figure at any width)")
     grid.add_argument("--caps", default=None,
                       help="comma-separated power caps in W "
                            "(default 150,250,400,600)")

@@ -5,12 +5,13 @@ policy and a power cap over the *same* drawn fleet — and the figure the
 ROADMAP asks for ("energy/slowdown at datacenter scale") is the whole
 grid. Cells share everything expensive:
 
-* the parent builds (or warm-loads) the profile store **once**, through
-  a shared :class:`~repro.fleet.profile_cache.ProfileCache`, optionally
-  with a multiprocess build (:mod:`repro.fleet.parallel`);
-* with ``jobs > 1`` the cells then fan out over a spawn-context worker
-  pool; each worker rehydrates its profiles from the warm cache (no
-  simulation) and only a small aggregate dict rides the pipe home;
+* the parent builds (or warm-loads) the profile store **once**,
+  serially, through a shared
+  :class:`~repro.fleet.profile_cache.ProfileCache`;
+* with ``jobs > 1`` the cells then fan out over
+  :mod:`repro.common.pool`; each worker rehydrates its profiles from
+  the warm cache (no simulation) and only a small aggregate dict rides
+  the pipe home;
 * a cell is a pure function of its configuration, so the grid payload
   is byte-identical at any ``jobs`` width — the CI smoke ``cmp``-s a
   serial and a parallel run of the figure writer.
@@ -18,18 +19,18 @@ grid. Cells share everything expensive:
 
 from __future__ import annotations
 
-import multiprocessing
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.arch.specs import MachineSpec, haswell_i7_4770k
 from repro.common.errors import ConfigError
+from repro.common.pool import each, exchange, partition, run_batches
 from repro.fleet.engine import FleetConfig, run_fleet
 from repro.fleet.policy import policy_names
 from repro.fleet.profile_cache import ProfileCache
 from repro.fleet.profiles import ProfileStore
+from repro.fleet.report import report_identity_bytes
 
 #: Schema version of the grid figure payload.
 GRID_FORMAT_VERSION = 1
@@ -109,27 +110,24 @@ def _run_cell(
     return cell
 
 
-# One (config, spec, store) per grid worker; the store rehydrates its
+# One (job, spec, store) per grid worker; the store rehydrates its
 # profiles from the cache the parent warmed — workers never simulate.
-_GRID_WORKER: Optional[Tuple[GridConfig, MachineSpec, ProfileStore]] = None
+_GRID_WORKER: Optional[Tuple[object, MachineSpec, ProfileStore]] = None
 
 
-def _init_grid_worker(
-    config: GridConfig, spec: MachineSpec, cache_root: str
-) -> None:
+def _init_grid_worker(job: object, spec: MachineSpec, cache_root: str) -> None:
     global _GRID_WORKER
     store = ProfileStore(spec, cache=ProfileCache(cache_root))
-    _GRID_WORKER = (config, spec, store)
+    _GRID_WORKER = (job, spec, store)
 
 
-def _grid_cell(cell: Tuple[str, float]) -> Tuple[Tuple[str, float], Optional[Dict[str, object]]]:
+def _grid_cells(cells: List[Tuple[str, float]]):
+    """Worker side: ``({cell: row}, {cell: error})`` for one batch."""
     assert _GRID_WORKER is not None, "worker used before initialization"
     config, spec, store = _GRID_WORKER
-    policy, cap_w = cell
-    try:
-        return cell, _run_cell(config, policy, cap_w, spec, store)
-    except Exception:  # contained: the parent recomputes
-        return cell, None
+    return each(
+        cells, lambda cell: _run_cell(config, cell[0], cell[1], spec, store)
+    )
 
 
 def run_grid(
@@ -140,11 +138,12 @@ def run_grid(
 ) -> Dict[str, object]:
     """Evaluate the whole grid; the figure payload.
 
-    The profile store is built once up front — through ``cache`` when
-    given (so repeat grids and ``repro-fleet`` runs share the work),
-    ephemeral otherwise — and with ``jobs > 1`` both the build and the
-    cells fan out over that many worker processes. Output is identical
-    at any width; cell failures in workers are recomputed in-parent.
+    The profile store is built once up front, serially — through
+    ``cache`` when given (so repeat grids and ``repro-fleet`` runs share
+    the work), through a temporary exchange directory when ``jobs > 1``
+    needs one. With ``jobs > 1`` the cells fan out over that many worker
+    processes. Output is identical at any width; cells a worker did not
+    finish are recomputed in-parent.
     """
     from repro.fleet.corpus import builtin_templates, draw_tenants, load_corpus_dir
 
@@ -155,33 +154,28 @@ def run_grid(
         templates.extend(load_corpus_dir(directory))
     tenants = draw_tenants(templates, config.tenants, config.seed)
 
-    ephemeral = cache is None and jobs > 1
-    if ephemeral:
-        cache = ProfileCache(tempfile.mkdtemp(prefix="repro-fleet-grid-"))
-    store = ProfileStore(spec, cache=cache)
-    build = store.build(tenants, jobs=jobs)
-
     cells = config.cells()
-    results: Dict[Tuple[str, float], Optional[Dict[str, object]]] = {}
-    if jobs > 1 and len(cells) > 1:
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(cells)),
-            mp_context=context,
-            initializer=_init_grid_worker,
-            initargs=(config, spec, str(cache.root)),
-        ) as pool:
-            for cell, result in pool.map(_grid_cell, cells, chunksize=1):
-                results[cell] = result
-    recovered = 0
-    rows: List[Dict[str, object]] = []
-    for policy, cap_w in cells:
-        row = results.get((policy, cap_w))
-        if row is None:
-            if (policy, cap_w) in results:
-                recovered += 1
-            row = _run_cell(config, policy, cap_w, spec, store)
-        rows.append(row)
+    parallel = jobs > 1 and len(cells) > 1
+    results: Dict[Tuple[str, float], Dict[str, object]] = {}
+    failures: Dict[Tuple[str, float], str] = {}
+    with ExitStack() as stack:
+        if cache is None and parallel:
+            cache = ProfileCache(stack.enter_context(exchange()))
+        store = ProfileStore(spec, cache=cache)
+        build = store.build(tenants)
+        if parallel:
+            results, failures = run_batches(
+                partition(cells, lambda cell: cell, jobs),
+                _grid_cells,
+                jobs,
+                initializer=_init_grid_worker,
+                initargs=(config, spec, str(cache.root)),
+            )
+        rows = [
+            results.get(cell)
+            or _run_cell(config, cell[0], cell[1], spec, store)
+            for cell in cells
+        ]
 
     return {
         "kind": GRID_KIND,
@@ -199,7 +193,7 @@ def run_grid(
             "profiles": build["profiles_total"],
             "cache_hits": build["cache_hits"],
             "jobs": jobs,
-            "recovered_cells": recovered,
+            "recovered_cells": len(failures),
         },
     }
 
@@ -252,3 +246,108 @@ def render_grid(payload: Dict[str, object]) -> str:
             f"{config['seed']}, {len(payload['cells'])} cells"
         ),
     )
+
+
+# ----------------------------------------------------------------------
+# The fleet-parallel-identity QA property
+# ----------------------------------------------------------------------
+
+#: Tenants in the invariant's miniature fleet.
+_FLEET_SIZE = 6
+
+
+def _identity_leg(batch: List[str]):
+    """Worker side of the invariant: one fleet run's identity bytes."""
+    assert _GRID_WORKER is not None, "worker used before initialization"
+    (config, tenants, arrivals_ns), spec, store = _GRID_WORKER
+    return each(
+        batch,
+        lambda _: report_identity_bytes(
+            run_fleet(
+                config, spec=spec, store=store, tenants=tenants,
+                arrivals_ns=arrivals_ns,
+            )
+        ),
+    )
+
+
+def case_parallel_identity_violations(context) -> List[str]:
+    """Serial vs pool-worker vs warm-store reports must be byte-identical.
+
+    The fuzz case is promoted to a tenant (the ``repro-qa promote``
+    adapter) at both of its frequencies, and one small overlapping
+    fleet is run three ways: over profiles built serially from the QA
+    context's simulations; inside a :mod:`repro.common.pool` worker over
+    a store the parent warmed by simulating afresh — the cross-process
+    path grid cells take; and rehydrated from that store in the parent.
+    Any byte of divergence on the identity view means the pool or the
+    persistence machinery changed a result.
+    """
+    from dataclasses import replace
+
+    from repro.fleet.tenants import profile_key, tenant_from_fuzz_case
+
+    case = context.case
+    base_tenant = tenant_from_fuzz_case(case, name=f"qa-{case.seed}-base")
+    high_tenant = replace(
+        base_tenant,
+        name=f"qa-{case.seed}-high",
+        base_freq_ghz=case.high_freq_ghz,
+    )
+    variants = [base_tenant, high_tenant]
+    tenants = [variants[i % 2] for i in range(_FLEET_SIZE)]
+    serial_store = ProfileStore(context.spec)
+    serial_store.build(
+        variants,
+        traces={
+            profile_key(base_tenant): context.result(
+                case.base_freq_ghz
+            ).trace,
+            profile_key(high_tenant): context.result(
+                case.high_freq_ghz
+            ).trace,
+        },
+    )
+    spacing = min(
+        serial_store.profile_for(tenant).baseline_ns for tenant in variants
+    ) / 4.0
+    arrivals_ns = [i * spacing for i in range(_FLEET_SIZE)]
+    config = FleetConfig(
+        tenants=_FLEET_SIZE, seed=case.seed, policy="paper-governor"
+    )
+
+    def fleet(store: ProfileStore) -> bytes:
+        return report_identity_bytes(
+            run_fleet(
+                config, spec=context.spec, store=store, tenants=tenants,
+                arrivals_ns=arrivals_ns,
+            )
+        )
+
+    serial = fleet(serial_store)
+    with exchange() as root:
+        ProfileStore(context.spec, cache=ProfileCache(root)).build(variants)
+        results, failures = run_batches(
+            [["worker"]],
+            _identity_leg,
+            1,
+            initializer=_init_grid_worker,
+            initargs=((config, tenants, arrivals_ns), context.spec, root),
+        )
+        warm = fleet(ProfileStore(context.spec, cache=ProfileCache(root)))
+    violations: List[str] = []
+    if "worker" in failures:
+        violations.append(
+            f"pool worker leg did not finish: {failures['worker']}"
+        )
+    elif results["worker"] != serial:
+        violations.append(
+            "fleet report run in a pool worker over the warmed store "
+            "diverges from the serial build on the identity view"
+        )
+    if warm != serial:
+        violations.append(
+            "warm-store fleet report diverges from the serial build on "
+            "the identity view"
+        )
+    return violations

@@ -20,8 +20,8 @@ home so the work is done once per shape *ever*, not once per run:
   :class:`~repro.common.store.FileStore` via
   :class:`~repro.common.store.TieredStore` — repeat fetches within one
   process are dict-speed, across processes they ride the page cache,
-  and concurrent writers (the multiprocess build workers of
-  :mod:`repro.fleet.parallel`) publish atomically with identical bytes.
+  and concurrent writers (separate ``repro-fleet`` runs sharing one
+  store) publish atomically with identical bytes.
 * **Distrust by default.** The stored value is itself a versioned
   envelope around :func:`~repro.sim.serialize.trace_to_dict` output,
   with the trace body carried as a SHA-256-checksummed string; a
@@ -116,8 +116,8 @@ class ProfileCache:
 
     ``get``/``put`` speak :class:`~repro.sim.trace.SimulationTrace`; the
     envelope plumbing (versioning, JSON, rejection of defects) is
-    internal. Safe for concurrent multi-process use — the parallel
-    build workers and a warm parent share one directory.
+    internal. Safe for concurrent multi-process use — grid workers
+    and the parent that warmed the store share one directory.
     """
 
     def __init__(

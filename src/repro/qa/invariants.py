@@ -342,10 +342,10 @@ def _fleet_policy_dominance(context: CaseContext) -> List[str]:
 @register(
     "fleet-parallel-identity",
     "fleet reports are byte-identical on the determinism view whether "
-    "profiles are built serially, by a multiprocess worker pool, or "
-    "rehydrated from the persistent profile store",
+    "run over a serial build, inside a process-pool worker over the "
+    "store the parent warmed, or rehydrated from that persistent store",
 )
 def _fleet_parallel_identity(context: CaseContext) -> List[str]:
-    from repro.fleet.parallel import case_parallel_identity_violations
+    from repro.fleet.grid import case_parallel_identity_violations
 
     return case_parallel_identity_violations(context)

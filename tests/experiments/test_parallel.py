@@ -2,21 +2,24 @@
 
 The end-to-end bit-parity of the pooled path is pinned separately in
 ``test_parallel_parity.py``; this file covers the pieces — work-item
-validation, job resolution, grid partitioning, the fixed/managed split —
+validation, job resolution, per-benchmark partitioning through
+:func:`repro.common.pool.partition`, the fixed/managed split —
 and the ``batch=True`` route through ``fixed_runs_batch``.
 """
+
+from operator import attrgetter
 
 import pytest
 
 from repro.common.errors import ConfigError
+from repro.common.pool import partition
+from repro.common.validation import resolve_jobs
 from repro.experiments.parallel import (
     WorkItem,
     _group_fixed,
-    _partition,
     execute,
     fixed_items,
     managed_items,
-    resolve_jobs,
 )
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.setup import ExperimentConfig
@@ -28,6 +31,11 @@ CONFIG = ExperimentConfig(
     thresholds=(0.10,),
     quantum_ns=2.0e5,
 )
+
+
+def _partition(grid, jobs):
+    """The experiment grid's partition: one batch per benchmark."""
+    return partition(grid, attrgetter("benchmark"), jobs)
 
 
 def test_work_item_rejects_unknown_kind():

@@ -28,12 +28,18 @@ def test_run_writes_a_deterministic_report(tmp_path, capsys):
     assert out_a.read_bytes() == out_b.read_bytes()
 
 
-def test_run_jobs_and_no_cache_leave_report_bytes_alone(tmp_path, capsys):
-    out_a = tmp_path / "a.json"
-    out_b = tmp_path / "b.json"
-    assert main(["run", *ARGS, "--no-cache", "--out", str(out_a)]) == 0
-    assert main(["run", *ARGS, "--jobs", "2", "--out", str(out_b)]) == 0
-    assert out_a.read_bytes() == out_b.read_bytes()
+def test_no_cache_cold_and_warm_runs_write_identical_reports(tmp_path, capsys):
+    outs = [tmp_path / f"{name}.json" for name in ("none", "cold", "warm")]
+    assert main(["run", *ARGS, "--no-cache", "--out", str(outs[0])]) == 0
+    assert main(["run", *ARGS, "--out", str(outs[1])]) == 0
+    assert main(["run", *ARGS, "--out", str(outs[2])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+
+def test_run_has_no_jobs_option():
+    # Profile builds are serial; only ``grid`` fans out over workers.
+    with pytest.raises(SystemExit):
+        main(["run", *ARGS, "--jobs", "2"])
 
 
 def test_report_rerenders_a_saved_run(tmp_path, capsys):
