@@ -1,8 +1,10 @@
 """Multi-backend content-addressed key/value store.
 
-The persistent result cache of :mod:`repro.experiments.cache` and the
-cross-worker prediction cache of :mod:`repro.serve.predcache` share one
-storage discipline:
+Every persistent cache in the package sits on this module: the
+experiment result cache (:mod:`repro.experiments.cache`), the fleet
+profile store (:mod:`repro.fleet.profile_cache`) and the cross-worker
+prediction cache (:mod:`repro.serve.predcache`). They share one storage
+discipline:
 
 * **Content-addressed keys.** :func:`stable_hash` reduces an arbitrary
   configuration object to a SHA-256 over its canonical JSON form
@@ -33,7 +35,10 @@ On top of those primitives this module layers composable backends:
 
 Values are opaque text (callers serialize; the prediction cache stores
 pre-encoded JSON fragments so a hit replays the cold compute's bytes
-exactly).
+exactly). The two trace caches carry their traces in one checksummed
+envelope, :func:`repro.sim.serialize.seal_trace`, so damage inside a
+trace body is caught even where the surrounding JSON still parses.
+Both persistent trace caches live under :func:`default_cache_dir`.
 """
 
 from __future__ import annotations
@@ -99,8 +104,16 @@ def stable_hash(obj: Any) -> str:
 
 
 # ----------------------------------------------------------------------
-# Atomic file plumbing
+# File plumbing
 # ----------------------------------------------------------------------
+
+
+def default_cache_dir() -> Path:
+    """``REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
+    override = os.environ.get("REPRO_CACHE_DIR")
+    if override:
+        return Path(override).expanduser()
+    return Path.home() / ".cache" / "repro"
 
 
 def atomic_write_text(path: Path, text: str, suffix: str = ".json") -> None:

@@ -27,8 +27,9 @@ benchmark proportionally — error structure and energy trends are
 scale-invariant, so ``REPRO_SCALE=0.3`` gives a quick faithful pass.
 """
 
+from repro.common.store import default_cache_dir
 from repro.experiments.setup import ExperimentConfig, default_config
-from repro.experiments.cache import ResultCache, default_cache_dir
+from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import WorkItem, execute
 from repro.experiments.runner import ExperimentRunner, get_runner
 

@@ -14,54 +14,44 @@ scratch. This module gives those results a durable home:
   and this module's :data:`CACHE_SCHEMA_VERSION`. Same inputs → same key;
   any config or schema change → different key, so stale entries are never
   returned (they are simply orphaned until ``clear``).
-* **Durable values.** Fixed- and managed-run summaries are stored as small
-  JSON documents; base-frequency traces ride in a gzip sidecar written by
-  :mod:`repro.sim.serialize` (the archival trace format).
-* **Crash/corruption safety.** Writes go to a temporary file in the cache
-  directory and are published with an atomic ``os.replace``; reads treat
-  *any* malformed entry as a miss (recompute, never crash) and remove the
-  offender best-effort.
+* **Durable values.** Each fixed- or managed-run summary is one JSON
+  entry in a :class:`~repro.common.store.FileStore`; a retained
+  base-frequency trace rides inline in its entry inside the
+  SHA-256-checksummed envelope of :func:`~repro.sim.serialize.seal_trace`
+  (the one the fleet profile store uses too).
+* **Crash/corruption safety.** The file store publishes atomically and
+  checks each entry's full key; reads treat *any* malformed entry — bad
+  JSON, a foreign key, a trace failing its checksum — as a miss
+  (recompute, never crash) and drop the offender best-effort.
 
-The default location is ``~/.cache/repro``, overridable with the
-``REPRO_CACHE_DIR`` environment variable.
+The default location is :func:`~repro.common.store.default_cache_dir`
+(``~/.cache/repro``, overridable with ``REPRO_CACHE_DIR``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import os
 import shutil
-import tempfile
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
-from repro.common.store import (  # noqa: F401 — canonical/stable_hash are
-    atomic_write_text,            # this module's historical public API
-    canonical,
+from repro.common.store import (
+    FileStore,
+    StoreStats,
+    default_cache_dir,
     stable_hash,
-    unlink_quiet,
 )
-from repro.sim.serialize import FORMAT_VERSION, load_trace, save_trace
+from repro.sim.serialize import FORMAT_VERSION, seal_trace, unseal_trace
 
 if TYPE_CHECKING:  # runner imports this module; keep the cycle import-time free
     from repro.experiments.runner import FixedRun, ManagedRun
 
-#: Bump when the simulator/cache semantics change in a way the key's
-#: config fields cannot capture (e.g. a timing-model fix): every existing
-#: entry becomes unreachable and is recomputed on demand.
-CACHE_SCHEMA_VERSION = 1
+#: Bump when the simulator/cache semantics or the on-disk layout change in
+#: a way the key's config fields cannot capture (e.g. a timing-model fix):
+#: every existing entry becomes unreachable and is recomputed on demand.
+CACHE_SCHEMA_VERSION = 2
 
 _PathLike = Union[str, Path]
-
-
-def default_cache_dir() -> Path:
-    """``REPRO_CACHE_DIR`` if set, else ``~/.cache/repro``."""
-    override = os.environ.get("REPRO_CACHE_DIR")
-    if override:
-        return Path(override).expanduser()
-    return Path.home() / ".cache" / "repro"
 
 
 # ----------------------------------------------------------------------
@@ -132,224 +122,113 @@ def managed_key(
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class CacheStats:
-    """Per-process counters of one :class:`ResultCache` instance."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    #: Entries found on disk but rejected (truncated, bit-flipped, wrong
-    #: schema...); each rejection is also a miss.
-    errors: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return dataclasses.asdict(self)
-
-
 class ResultCache:
     """Content-addressed on-disk store of experiment ground truths.
 
-    One directory per schema version; inside it, one JSON summary per
-    entry (name = ``<kind>-<benchmark>-<key prefix>``) plus an optional
-    gzip trace sidecar for base-frequency runs. Concurrent writers are
-    safe: both compute identical bytes for a key and publish atomically,
-    so the last rename wins with an identical result.
+    One :class:`~repro.common.store.FileStore` per schema version
+    (``<root>/v<CACHE_SCHEMA_VERSION>``) holding one JSON entry per
+    result; a retained base-frequency trace rides inline in its entry as
+    a :func:`~repro.sim.serialize.seal_trace` envelope. ``stats`` counts
+    hits, misses, stores and rejected entries of this instance.
     """
 
     def __init__(self, root: Optional[_PathLike] = None) -> None:
-        self.root = Path(root) if root is not None else default_cache_dir()
-        self.stats = CacheStats()
-
-    # -- layout --------------------------------------------------------
-
-    @property
-    def _store(self) -> Path:
-        return self.root / f"v{CACHE_SCHEMA_VERSION}"
-
-    def _summary_path(self, kind: str, benchmark: str, key: str) -> Path:
-        return self._store / f"{kind}-{benchmark}-{key[:20]}.json"
-
-    def _trace_path(self, summary: Path) -> Path:
-        return summary.with_suffix(".trace.gz")
-
-    # -- atomic plumbing ----------------------------------------------
-
-    def _publish_text(self, path: Path, text: str) -> None:
-        atomic_write_text(path, text)
-
-    def _publish_trace(self, path: Path, trace) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(path.parent), prefix=".tmp-", suffix=".gz"
+        self.root = Path(root) if root else default_cache_dir()
+        self._files = FileStore(
+            self.root / f"v{CACHE_SCHEMA_VERSION}", prefix="result"
         )
-        os.close(fd)
-        try:
-            save_trace(trace, tmp)
-            os.replace(tmp, path)
-        except BaseException:
-            unlink_quiet(Path(tmp))
-            raise
+        self.stats: StoreStats = self._files.stats
 
-    def _read_entry(self, path: Path, key: str) -> Optional[Dict]:
-        """Load and sanity-check a summary; any defect counts as corruption."""
-        try:
-            entry = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
+    def _load(self, key: str, decode: Callable[[Dict[str, Any]], Any]) -> Any:
+        """``decode`` of the entry under ``key``; any defect is a miss."""
+        value = self._files.get(key)
+        if value is None:
             return None
+        try:
+            return decode(json.loads(value))
         except Exception:
-            self._reject(path)
+            # The file tier counted a hit on an entry that cannot be used.
+            self.stats.hits -= 1
+            self.stats.misses += 1
+            self.stats.errors += 1
+            self._files.drop(key)
             return None
-        if not isinstance(entry, dict) or entry.get("key") != key:
-            self._reject(path)
-            return None
-        return entry
 
-    def _reject(self, summary: Path) -> None:
-        """Drop a corrupt entry (and its sidecar) so it is rebuilt cleanly."""
-        self.stats.errors += 1
-        unlink_quiet(summary)
-        unlink_quiet(self._trace_path(summary))
+    def _store(self, key: str, entry: Dict[str, Any]) -> None:
+        self._files.put(key, json.dumps(entry, separators=(",", ":")))
 
     # -- fixed runs ----------------------------------------------------
 
-    def load_fixed(self, key: str, benchmark: str) -> Optional["FixedRun"]:
+    def load_fixed(self, key: str) -> Optional["FixedRun"]:
         """The cached :class:`FixedRun` under ``key``, or ``None``."""
         from repro.experiments.runner import FixedRun
 
-        path = self._summary_path("fixed", benchmark, key)
-        entry = self._read_entry(path, key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        try:
-            trace = None
-            if entry["has_trace"]:
-                trace = load_trace(self._trace_path(path))
-            run = FixedRun(
-                benchmark=str(entry["benchmark"]),
-                freq_ghz=float(entry["freq_ghz"]),
-                total_ns=entry["total_ns"],
-                gc_time_ns=entry["gc_time_ns"],
-                gc_cycles=int(entry["gc_cycles"]),
-                energy_j=entry["energy_j"],
-                trace=trace,
-            )
-        except Exception:
-            self._reject(path)
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return run
+        def decode(entry: Dict[str, Any]) -> FixedRun:
+            sealed = entry.pop("trace")
+            trace = None if sealed is None else unseal_trace(sealed)
+            return FixedRun(**entry, trace=trace)
+
+        return self._load(key, decode)
 
     def store_fixed(self, key: str, run: "FixedRun") -> None:
-        """Persist a fixed run (trace sidecar first, then the summary)."""
-        path = self._summary_path("fixed", run.benchmark, key)
-        if run.trace is not None:
-            self._publish_trace(self._trace_path(path), run.trace)
-        entry = {
-            "key": key,
-            "benchmark": run.benchmark,
-            "freq_ghz": run.freq_ghz,
-            "total_ns": run.total_ns,
-            "gc_time_ns": run.gc_time_ns,
-            "gc_cycles": run.gc_cycles,
-            "energy_j": run.energy_j,
-            "has_trace": run.trace is not None,
-        }
-        self._publish_text(path, json.dumps(entry, separators=(",", ":")))
-        self.stats.stores += 1
+        """Persist a fixed run, its retained trace (if any) inline."""
+        sealed = None if run.trace is None else seal_trace(run.trace)
+        self._store(key, dict(vars(run), trace=sealed))
 
     # -- managed runs --------------------------------------------------
 
-    def load_managed(self, key: str, benchmark: str) -> Optional["ManagedRun"]:
+    def load_managed(self, key: str) -> Optional["ManagedRun"]:
         """The cached :class:`ManagedRun` under ``key``, or ``None``."""
         from repro.energy.manager import ManagerDecision
         from repro.experiments.runner import ManagedRun
 
-        path = self._summary_path("managed", benchmark, key)
-        entry = self._read_entry(path, key)
-        if entry is None:
-            self.stats.misses += 1
-            return None
-        try:
-            run = ManagedRun(
-                benchmark=str(entry["benchmark"]),
-                threshold=float(entry["threshold"]),
-                total_ns=entry["total_ns"],
-                energy_j=entry["energy_j"],
-                decisions=[
-                    ManagerDecision(
-                        interval_index=int(index),
-                        base_freq_ghz=base,
-                        chosen_freq_ghz=chosen,
-                        predicted_slowdown=slowdown,
-                    )
-                    for index, base, chosen, slowdown in entry["decisions"]
-                ],
-            )
-        except Exception:
-            self._reject(path)
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return run
+        def decode(entry: Dict[str, Any]) -> ManagedRun:
+            decisions = [ManagerDecision(*d) for d in entry.pop("decisions")]
+            return ManagedRun(**entry, decisions=decisions)
+
+        return self._load(key, decode)
 
     def store_managed(self, key: str, run: "ManagedRun") -> None:
-        """Persist a managed run, decisions inline."""
-        path = self._summary_path("managed", run.benchmark, key)
-        entry = {
-            "key": key,
-            "benchmark": run.benchmark,
-            "threshold": run.threshold,
-            "total_ns": run.total_ns,
-            "energy_j": run.energy_j,
-            "decisions": [
-                [
-                    d.interval_index,
-                    d.base_freq_ghz,
-                    d.chosen_freq_ghz,
-                    d.predicted_slowdown,
-                ]
-                for d in run.decisions
-            ],
-        }
-        self._publish_text(path, json.dumps(entry, separators=(",", ":")))
-        self.stats.stores += 1
+        """Persist a managed run, decisions inline as field-order rows."""
+        rows = [list(vars(d).values()) for d in run.decisions]
+        self._store(key, dict(vars(run), decisions=rows))
 
     # -- maintenance ---------------------------------------------------
 
+    def _version_dirs(self) -> List[Path]:
+        """Every schema-version directory under the root (``v<N>``):
+        what this cache owns, and all that :meth:`clear` removes."""
+        if not self.root.is_dir():
+            return []
+        return [
+            child
+            for child in sorted(self.root.iterdir())
+            if child.is_dir()
+            and child.name[:1] == "v"
+            and child.name[1:].isdigit()
+        ]
+
     def disk_stats(self) -> Dict[str, int]:
-        """Entry and byte counts on disk, across all schema versions."""
-        entries = traces = size = stale = 0
-        if self.root.is_dir():
-            for path in self.root.rglob("*"):
+        """Entry and byte counts of this cache's version directories."""
+        entries = stale = size = 0
+        for version in self._version_dirs():
+            for path in version.rglob("*"):
                 if not path.is_file():
                     continue
                 size += path.stat().st_size
-                if path.name.startswith(".tmp-"):
-                    continue
-                current = path.parent == self._store
-                if path.suffix == ".json":
-                    entries += current
-                    stale += not current
-                elif path.name.endswith(".trace.gz"):
-                    traces += current
-        return {
-            "entries": entries,
-            "traces": traces,
-            "stale_entries": stale,
-            "size_bytes": size,
-        }
+                if path.suffix == ".json" and not path.name.startswith(".tmp-"):
+                    if version == self._files.root:
+                        entries += 1
+                    else:
+                        stale += 1
+        return {"entries": entries, "stale_entries": stale, "size_bytes": size}
 
     def clear(self) -> int:
         """Remove every version directory under the root; return files removed."""
         removed = 0
-        if self.root.is_dir():
-            for child in sorted(self.root.iterdir()):
-                if child.is_dir() and child.name.startswith("v"):
-                    removed += sum(1 for p in child.rglob("*") if p.is_file())
-                    shutil.rmtree(child, ignore_errors=True)
+        for version in self._version_dirs():
+            removed += sum(1 for p in version.rglob("*") if p.is_file())
+            shutil.rmtree(version, ignore_errors=True)
         return removed
 
 
@@ -359,8 +238,8 @@ def describe(cache: ResultCache) -> str:
     lines = [
         f"cache root:    {cache.root}",
         f"schema:        v{CACHE_SCHEMA_VERSION} (trace format {FORMAT_VERSION})",
-        f"entries:       {disk['entries']} ({disk['traces']} traces, "
-        f"{disk['stale_entries']} stale from other versions)",
+        f"entries:       {disk['entries']} "
+        f"({disk['stale_entries']} stale from other versions)",
         f"size on disk:  {disk['size_bytes'] / 1e6:.1f} MB",
     ]
     session = cache.stats

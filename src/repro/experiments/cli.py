@@ -41,7 +41,7 @@ from repro.experiments import (
     table1,
     table2,
 )
-from repro.experiments.cache import ResultCache, default_cache_dir, describe
+from repro.experiments.cache import ResultCache, describe
 from repro.experiments.parallel import WorkItem, execute
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import ExperimentRunner, get_runner
@@ -211,7 +211,7 @@ def main(argv=None) -> int:
 def _run_suite(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     cache = None
     if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
+        cache = ResultCache(args.cache_dir)
     runner = get_runner(cache=cache, sweep=args.sweep)
     try:
         jobs = resolve_jobs(args.jobs)

@@ -255,12 +255,12 @@ def main(argv=None) -> int:
         help="persistent cache location (default: REPRO_CACHE_DIR)",
     )
     args = parser.parse_args(argv)
-    from repro.experiments.cache import ResultCache, default_cache_dir
+    from repro.experiments.cache import ResultCache
     from repro.experiments.runner import get_runner
 
     cache = None
     if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
+        cache = ResultCache(args.cache_dir)
     runner = get_runner(cache=cache)
     payload = write_figure(args.out, runner)
     n_cells = sum(len(cells) for cells in payload["benchmarks"].values())

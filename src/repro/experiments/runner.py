@@ -140,31 +140,27 @@ class ExperimentRunner:
     # Ground-truth runs
     # ------------------------------------------------------------------
 
-    def fixed_run(self, benchmark: str, freq_ghz: float) -> FixedRun:
-        """Simulate (once) ``benchmark`` at a fixed frequency."""
+    def _cached_fixed(
+        self, benchmark: str, freq_ghz: float
+    ) -> Tuple[Optional[FixedRun], Optional[str]]:
+        """(memoized or on-disk run or ``None``, disk key or ``None``)."""
         key = (benchmark, round(freq_ghz, 6))
-        cached = self._fixed.get(key)
-        if cached is not None:
-            return cached
-        disk_key = None
-        if self.cache is not None:
-            disk_key = cache_mod.fixed_key(
-                self.fingerprint(benchmark), freq_ghz, self.config.quantum_ns
-            )
-            run = self.cache.load_fixed(disk_key, benchmark)
-            if run is not None:
-                self._fixed[key] = run
-                return run
-        bundle = self.bundle(benchmark)
-        result = simulate(
-            bundle.program,
-            freq_ghz,
-            spec=bundle.spec,
-            jvm_config=bundle.jvm_config,
-            gc_model=bundle.gc_model,
-            quantum_ns=self.config.quantum_ns,
+        run = self._fixed.get(key)
+        if run is not None or self.cache is None:
+            return run, None
+        disk_key = cache_mod.fixed_key(
+            self.fingerprint(benchmark), freq_ghz, self.config.quantum_ns
         )
-        self.simulations += 1
+        run = self.cache.load_fixed(disk_key)
+        if run is not None:
+            self._fixed[key] = run
+        return run, disk_key
+
+    def _finish_fixed(
+        self, benchmark: str, freq_ghz: float, disk_key: Optional[str], result
+    ) -> FixedRun:
+        """Summarize one fresh simulation; persist and memoize the run."""
+        bundle = self.bundle(benchmark)
         energy = compute_energy(
             result.trace, bundle.spec, self.power_model(benchmark)
         )
@@ -178,10 +174,27 @@ class ExperimentRunner:
             energy_j=energy.total_j,
             trace=result.trace if keep_trace else None,
         )
-        if self.cache is not None and disk_key is not None:
+        if disk_key is not None:
             self.cache.store_fixed(disk_key, run)
-        self._fixed[key] = run
+        self._fixed[(benchmark, round(freq_ghz, 6))] = run
         return run
+
+    def fixed_run(self, benchmark: str, freq_ghz: float) -> FixedRun:
+        """Simulate (once) ``benchmark`` at a fixed frequency."""
+        run, disk_key = self._cached_fixed(benchmark, freq_ghz)
+        if run is not None:
+            return run
+        bundle = self.bundle(benchmark)
+        result = simulate(
+            bundle.program,
+            freq_ghz,
+            spec=bundle.spec,
+            jvm_config=bundle.jvm_config,
+            gc_model=bundle.gc_model,
+            quantum_ns=self.config.quantum_ns,
+        )
+        self.simulations += 1
+        return self._finish_fixed(benchmark, freq_ghz, disk_key, result)
 
     def fixed_runs_batch(
         self, benchmark: str, freqs_ghz: List[float]
@@ -201,23 +214,14 @@ class ExperimentRunner:
         """
         from repro.sim.batch import BatchInstance, run_batch
 
-        misses: List[Tuple[Tuple[str, float], float, Optional[str]]] = []
-        seen = set()
+        # Memo key -> (frequency, disk key) of each run still to simulate.
+        misses: Dict[float, Tuple[float, Optional[str]]] = {}
         for freq_ghz in freqs_ghz:
-            key = (benchmark, round(freq_ghz, 6))
-            if key in seen or key in self._fixed:
+            if round(freq_ghz, 6) in misses:
                 continue
-            disk_key = None
-            if self.cache is not None:
-                disk_key = cache_mod.fixed_key(
-                    self.fingerprint(benchmark), freq_ghz, self.config.quantum_ns
-                )
-                run = self.cache.load_fixed(disk_key, benchmark)
-                if run is not None:
-                    self._fixed[key] = run
-                    continue
-            seen.add(key)
-            misses.append((key, freq_ghz, disk_key))
+            run, disk_key = self._cached_fixed(benchmark, freq_ghz)
+            if run is None:
+                misses[round(freq_ghz, 6)] = (freq_ghz, disk_key)
         if misses:
             bundle = self.bundle(benchmark)
             results = run_batch(
@@ -231,29 +235,12 @@ class ExperimentRunner:
                         quantum_ns=self.config.quantum_ns,
                         label=f"{benchmark}@{freq_ghz}",
                     )
-                    for _, freq_ghz, _ in misses
+                    for freq_ghz, _ in misses.values()
                 ]
             ).results
             self.simulations += len(misses)
-            for (key, freq_ghz, disk_key), result in zip(misses, results):
-                energy = compute_energy(
-                    result.trace, bundle.spec, self.power_model(benchmark)
-                )
-                keep_trace = any(
-                    abs(freq_ghz - base) < 1e-9 for base in _BASE_FREQS
-                )
-                run = FixedRun(
-                    benchmark=benchmark,
-                    freq_ghz=freq_ghz,
-                    total_ns=result.total_ns,
-                    gc_time_ns=result.trace.gc_time_ns,
-                    gc_cycles=result.trace.gc_cycles,
-                    energy_j=energy.total_j,
-                    trace=result.trace if keep_trace else None,
-                )
-                if self.cache is not None and disk_key is not None:
-                    self.cache.store_fixed(disk_key, run)
-                self._fixed[key] = run
+            for (freq_ghz, disk_key), result in zip(misses.values(), results):
+                self._finish_fixed(benchmark, freq_ghz, disk_key, result)
         return [self.fixed_run(benchmark, freq_ghz) for freq_ghz in freqs_ghz]
 
     def base_trace(self, benchmark: str, base_freq_ghz: float) -> SimulationTrace:
@@ -299,7 +286,7 @@ class ExperimentRunner:
                 self.config.quantum_ns,
                 prediction=cache_mod.prediction_fingerprint(self.sweep),
             )
-            run = self.cache.load_managed(disk_key, benchmark)
+            run = self.cache.load_managed(disk_key)
             if run is not None:
                 self._managed[key] = run
                 return run
@@ -324,7 +311,7 @@ class ExperimentRunner:
             energy_j=energy.total_j,
             decisions=list(manager.decisions),
         )
-        if self.cache is not None and disk_key is not None:
+        if disk_key is not None:
             self.cache.store_managed(disk_key, run)
         self._managed[key] = run
         return run

@@ -37,13 +37,12 @@ from repro.common.errors import ReproError
 from repro.energy.manager import EnergyManager, ManagerConfig
 from repro.experiments.report import ExperimentResult
 from repro.experiments.runner import ExperimentRunner
-from repro.serve import protocol
 from repro.serve.background import BackgroundServer
 from repro.serve.client import ServeClient, replay_decisions
 from repro.serve.frontend import BackgroundFrontend, Frontend
 from repro.serve.pool import WorkerPool
 from repro.serve.server import ServeConfig
-from repro.serve.sessions import decision_to_wire
+from repro.serve.sessions import decision_bytes
 from repro.serve.sharding import shard_for_key
 from repro.sim.run import simulate_managed
 
@@ -59,13 +58,6 @@ def work(config):
     which the shared runner summarizes away, so this driver simulates
     its benchmarks itself."""
     return []
-
-
-def decision_bytes(decisions) -> bytes:
-    """Encode a decision log exactly as the wire protocol would."""
-    return protocol.encode_frame(
-        {"decisions": [decision_to_wire(d) for d in decisions]}
-    )
 
 
 def _worker_sessions_opened(pool: WorkerPool) -> Dict[int, int]:

@@ -23,8 +23,9 @@ home so the work is done once per shape *ever*, not once per run:
   and concurrent writers (separate ``repro-fleet`` runs sharing one
   store) publish atomically with identical bytes.
 * **Distrust by default.** The stored value is itself a versioned
-  envelope around :func:`~repro.sim.serialize.trace_to_dict` output,
-  with the trace body carried as a SHA-256-checksummed string; a
+  envelope around :func:`~repro.sim.serialize.seal_trace` output (the
+  trace body as a SHA-256-checksummed string, the same envelope the
+  experiment result cache stores); a
   corrupt, truncated, bit-flipped or stale-version entry is treated as
   a miss and recomputed, never trusted
   (``tests/property/test_profile_cache_prop.py`` pins both the
@@ -33,19 +34,20 @@ home so the work is done once per shape *ever*, not once per run:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from repro.arch.specs import MachineSpec
-from repro.common.store import FileStore, MemoryLRU, TieredStore, stable_hash
-from repro.sim.serialize import (
-    FORMAT_VERSION,
-    trace_from_dict,
-    trace_to_dict,
+from repro.common.store import (
+    FileStore,
+    MemoryLRU,
+    TieredStore,
+    default_cache_dir,
+    stable_hash,
 )
+from repro.sim.serialize import FORMAT_VERSION, seal_trace, unseal_trace
 from repro.sim.trace import SimulationTrace
 
 #: Bump when the profile envelope or its semantics change: every
@@ -63,8 +65,6 @@ _PathLike = Union[str, Path]
 
 def default_profile_cache_dir() -> Path:
     """``<result-cache root>/fleet-profiles`` (honours ``REPRO_CACHE_DIR``)."""
-    from repro.experiments.cache import default_cache_dir
-
     return default_cache_dir() / "fleet-profiles"
 
 
@@ -145,13 +145,7 @@ class ProfileCache:
                 or envelope.get("cache_version") != PROFILE_CACHE_VERSION
             ):
                 raise ValueError("stale or foreign profile envelope")
-            body = envelope["trace"]
-            if not isinstance(body, str) or (
-                hashlib.sha256(body.encode("utf-8")).hexdigest()
-                != envelope.get("sha256")
-            ):
-                raise ValueError("profile body fails its checksum")
-            return trace_from_dict(json.loads(body))
+            return unseal_trace(envelope)
         except Exception:
             # Never trust a defective entry: count it, drop it from
             # every tier best-effort, and let the caller recompute.
@@ -167,13 +161,11 @@ class ProfileCache:
         envelope, so *any* byte damage — not just damage that breaks
         the JSON — reads back as a miss.
         """
-        body = json.dumps(trace_to_dict(trace), separators=(",", ":"))
         envelope = json.dumps(
             {
                 "kind": PROFILE_KIND,
                 "cache_version": PROFILE_CACHE_VERSION,
-                "sha256": hashlib.sha256(body.encode("utf-8")).hexdigest(),
-                "trace": body,
+                **seal_trace(trace),
             },
             separators=(",", ":"),
         )

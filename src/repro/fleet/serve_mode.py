@@ -26,19 +26,11 @@ from repro.common.errors import ConfigError, ReproError
 from repro.energy.manager import ManagerConfig
 from repro.fleet.profiles import ProfileStore, TenantProfile
 from repro.fleet.tenants import TenantSpec, profile_key
-from repro.serve import protocol
 from repro.serve.client import ServeClient
 from repro.serve.frontend import BackgroundFrontend, Frontend
 from repro.serve.pool import WorkerPool
 from repro.serve.server import ServeConfig
-from repro.serve.sessions import decision_to_wire
-
-
-def decision_stream_bytes(decisions) -> bytes:
-    """A decision log encoded exactly as the wire protocol frames it."""
-    return protocol.encode_frame(
-        {"decisions": [decision_to_wire(d) for d in decisions]}
-    )
+from repro.serve.sessions import decision_bytes
 
 
 def decision_groups(
@@ -118,10 +110,10 @@ def validate_decision_streams(
         try:
             with ServeClient.connect(socket_path=pool_path) as client:
                 for key, profile, manager in groups:
-                    local = decision_stream_bytes(
+                    local = decision_bytes(
                         profile.governor_plan(manager).decisions
                     )
-                    remote = decision_stream_bytes(
+                    remote = decision_bytes(
                         replay_group(client, key, profile, manager)
                     )
                     if remote != local:

@@ -33,26 +33,11 @@ from repro.core.predictors import make_predictor, predictor_names
 from repro.core.vectorized import PredictJob, evaluate_predict_jobs, scalar_results
 from repro.qa.context import CaseContext
 from repro.qa.invariants import register
-from repro.sim.serialize import trace_to_dict
+from repro.serve.sessions import decision_bytes
+from repro.sim.serialize import trace_bytes
 
 #: Message differential checks emit when the serve side is unavailable.
 SERVE_SKIPPED = "serve differential skipped: no live server in this context"
-
-
-def _trace_bytes(trace) -> bytes:
-    """Canonical byte encoding of a trace (the parity currency)."""
-    return json.dumps(
-        trace_to_dict(trace), sort_keys=True, separators=(",", ":")
-    ).encode()
-
-
-def _decision_bytes(decisions) -> bytes:
-    from repro.serve import protocol
-    from repro.serve.sessions import decision_to_wire
-
-    return protocol.encode_frame(
-        {"decisions": [decision_to_wire(d) for d in decisions]}
-    )
 
 
 # ----------------------------------------------------------------------
@@ -74,7 +59,7 @@ def _diff_engine_trace(context: CaseContext) -> List[str]:
             f"total time diverges: fast {fast.total_ns!r} ns vs classic "
             f"{classic.total_ns!r} ns"
         )
-    if _trace_bytes(fast.trace) != _trace_bytes(classic.trace):
+    if trace_bytes(fast.trace) != trace_bytes(classic.trace):
         violations.append(
             "serialized traces differ between the fast and classic engines"
         )
@@ -90,12 +75,12 @@ def _diff_engine_governor(context: CaseContext) -> List[str]:
     fast_trace, fast_decisions = context.managed("fast")
     classic_trace, classic_decisions = context.managed("classic")
     violations: List[str] = []
-    if _decision_bytes(fast_decisions) != _decision_bytes(classic_decisions):
+    if decision_bytes(fast_decisions) != decision_bytes(classic_decisions):
         violations.append(
             f"manager decisions diverge: {len(fast_decisions)} fast vs "
             f"{len(classic_decisions)} classic"
         )
-    if _trace_bytes(fast_trace) != _trace_bytes(classic_trace):
+    if trace_bytes(fast_trace) != trace_bytes(classic_trace):
         violations.append("managed traces differ between engines")
     return violations
 
@@ -194,7 +179,7 @@ def _sweep_scalar_identity(context: CaseContext) -> List[str]:
     # not depend on which engine scored the candidate table.
     _, swept = context.managed("fast", sweep=True)
     _, scalar = context.managed("fast", sweep=False)
-    if _decision_bytes(swept) != _decision_bytes(scalar):
+    if decision_bytes(swept) != decision_bytes(scalar):
         violations.append(
             f"manager decisions diverge between sweep ({len(swept)}) and "
             f"scalar ({len(scalar)}) candidate evaluation"
@@ -240,7 +225,7 @@ def _batch_single_identity(context: CaseContext) -> List[str]:
     violations: List[str] = []
     for freq, result in zip(freqs, batched):
         solo = context.result(freq)
-        if _trace_bytes(result.trace) != _trace_bytes(solo.trace):
+        if trace_bytes(result.trace) != trace_bytes(solo.trace):
             violations.append(
                 f"batched trace at {freq} GHz differs from the "
                 "single-instance run"
@@ -251,11 +236,11 @@ def _batch_single_identity(context: CaseContext) -> List[str]:
                 "single-instance decomposition"
             )
     solo_trace, solo_decisions = context.managed("fast")
-    if _trace_bytes(batched[-1].trace) != _trace_bytes(solo_trace):
+    if trace_bytes(batched[-1].trace) != trace_bytes(solo_trace):
         violations.append(
             "batched managed trace differs from the single-instance run"
         )
-    if _decision_bytes(manager.decisions) != _decision_bytes(solo_decisions):
+    if decision_bytes(manager.decisions) != decision_bytes(solo_decisions):
         violations.append(
             f"batched governor decisions ({len(manager.decisions)}) differ "
             f"from the single-instance log ({len(solo_decisions)})"
@@ -295,12 +280,12 @@ def _hetero_single_domain_identity(context: CaseContext) -> List[str]:
         engine="fast",
     )
     legacy_trace, legacy_decisions = context.managed("fast")
-    if _trace_bytes(result.trace) != _trace_bytes(legacy_trace):
+    if trace_bytes(result.trace) != trace_bytes(legacy_trace):
         violations.append(
             "single-domain managed trace differs from the chip-wide "
             "manager's"
         )
-    if _decision_bytes(manager.decisions) != _decision_bytes(legacy_decisions):
+    if decision_bytes(manager.decisions) != decision_bytes(legacy_decisions):
         violations.append(
             f"single-domain decisions ({len(manager.decisions)}) differ "
             f"from the chip-wide log ({len(legacy_decisions)})"
@@ -458,7 +443,7 @@ def _diff_serve_governor(context: CaseContext) -> List[str]:
 
     trace, local = context.managed("fast")
     remote = replay_decisions(client, trace, context.case.manager)
-    if _decision_bytes(remote) != _decision_bytes(local):
+    if decision_bytes(remote) != decision_bytes(local):
         return [
             f"served decision log ({len(remote)} decisions) differs from "
             f"the in-process log ({len(local)} decisions)"

@@ -20,7 +20,7 @@ from repro.energy.manager import (
     ManagerConfig,
     ManagerDecision,
 )
-from repro.serve.protocol import ProtocolError
+from repro.serve.protocol import ProtocolError, encode_frame
 from repro.serve.sharding import tag_session_id
 from repro.sim.intervals import IntervalRecord
 
@@ -69,6 +69,12 @@ def decision_to_wire(decision: ManagerDecision) -> Dict[str, Any]:
         "chosen_freq_ghz": decision.chosen_freq_ghz,
         "predicted_slowdown": decision.predicted_slowdown,
     }
+
+
+def decision_bytes(decisions: Sequence[ManagerDecision]) -> bytes:
+    """A decision log encoded exactly as the wire protocol frames it —
+    the one byte identity every decision-log parity check compares."""
+    return encode_frame({"decisions": [decision_to_wire(d) for d in decisions]})
 
 
 class SessionStore:

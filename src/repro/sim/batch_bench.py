@@ -18,7 +18,6 @@ ratio. ``tools/bench_batch.py`` wraps this module into the committed
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Dict, List, Sequence, Tuple
 
@@ -26,7 +25,7 @@ from repro.arch.specs import MachineSpec, haswell_i7_4770k
 from repro.sim.batch import BatchInstance, run_batch
 from repro.sim.bench import wall_stats
 from repro.sim.run import simulate
-from repro.sim.serialize import trace_to_dict
+from repro.sim.serialize import trace_bytes
 from repro.workloads.program import Program
 from repro.workloads.synthetic import (
     SyntheticWorkloadConfig,
@@ -116,12 +115,6 @@ def build_corpus(
     return spec, programs, instances
 
 
-def _trace_bytes(trace) -> bytes:
-    return json.dumps(
-        trace_to_dict(trace), sort_keys=True, separators=(",", ":")
-    ).encode()
-
-
 def time_corpus(
     spec: MachineSpec,
     instances: Sequence[BatchInstance],
@@ -154,7 +147,7 @@ def time_corpus(
         batched_results = run_batch(instances).results
         batched_walls.append(time.perf_counter() - start)
     for inst, seq, bat in zip(instances, sequential_results, batched_results):
-        if _trace_bytes(seq.trace) != _trace_bytes(bat.trace):
+        if trace_bytes(seq.trace) != trace_bytes(bat.trace):
             raise SystemExit(
                 f"FATAL: batched trace diverges from sequential for "
                 f"{inst.label or inst.program.name}"

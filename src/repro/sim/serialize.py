@@ -9,14 +9,20 @@ trace metadata, thread table, events (counters flattened to arrays in
 
 Version field ``FORMAT_VERSION`` guards against silent schema drift — the
 loader refuses files written by an incompatible version.
+
+Two byte-level identities live here as well: :func:`trace_bytes`, the
+canonical encoding differential checks compare, and the checksummed
+envelope (:func:`seal_trace`/:func:`unseal_trace`) both persistent trace
+caches store, so any byte damage to a stored trace reads back as an error.
 """
 
 from __future__ import annotations
 
 import gzip
+import hashlib
 import json
 from pathlib import Path
-from typing import Dict, Union
+from typing import Any, Dict, Mapping, Union
 
 from repro.common.errors import TraceError
 from repro.arch.counters import COUNTER_FIELDS, CounterSet
@@ -151,6 +157,35 @@ def trace_from_dict(payload: Dict) -> SimulationTrace:
             )
         )
     return trace
+
+
+def trace_bytes(trace: SimulationTrace) -> bytes:
+    """Canonical byte encoding of a trace (the parity currency)."""
+    return json.dumps(
+        trace_to_dict(trace), sort_keys=True, separators=(",", ":")
+    ).encode()
+
+
+def _sha256(body: str) -> str:
+    return hashlib.sha256(body.encode("utf-8")).hexdigest()
+
+
+def seal_trace(trace: SimulationTrace) -> Dict[str, str]:
+    """``{"sha256", "trace"}``: the trace's JSON body and its checksum."""
+    body = json.dumps(trace_to_dict(trace), separators=(",", ":"))
+    return {"sha256": _sha256(body), "trace": body}
+
+
+def unseal_trace(envelope: Mapping[str, Any]) -> SimulationTrace:
+    """The trace inside a :func:`seal_trace` envelope.
+
+    Raises :class:`~repro.common.errors.TraceError` when the body is
+    missing or fails its checksum.
+    """
+    body = envelope.get("trace")
+    if not isinstance(body, str) or _sha256(body) != envelope.get("sha256"):
+        raise TraceError("trace body missing or fails its checksum")
+    return trace_from_dict(json.loads(body))
 
 
 def save_trace(trace: SimulationTrace, path: _PathLike) -> None:

@@ -1,12 +1,12 @@
 """Persistent result cache: warm-run behaviour and fault injection.
 
 The contract under test: a second runner over the same store performs
-zero new simulations; any on-disk damage (truncation, bit flips, missing
-sidecars, schema bumps) silently degrades to a recompute — the cache may
-lose work, it must never corrupt results or crash the suite.
+zero new simulations; any on-disk damage (truncation, bit flips inside an
+inline trace, a missing trace body, schema bumps) silently degrades to a
+recompute — the cache may lose work, it must never corrupt results or
+crash the suite.
 """
 
-import gzip
 import json
 
 import pytest
@@ -15,6 +15,7 @@ from repro.experiments import cache as cache_mod
 from repro.experiments.cache import ResultCache
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.setup import ExperimentConfig
+from repro.sim.serialize import trace_to_dict, unseal_trace
 
 CONFIG = ExperimentConfig(
     scale=0.02,
@@ -31,7 +32,7 @@ def store(tmp_path):
 
 def _populate(store) -> ExperimentRunner:
     runner = ExperimentRunner(CONFIG, cache=store)
-    runner.fixed_run("pmd_scale", 1.0)   # base freq: trace sidecar on disk
+    runner.fixed_run("pmd_scale", 1.0)   # base freq: trace inline on disk
     runner.fixed_run("pmd_scale", 2.0)   # summary only
     runner.managed_run("pmd_scale", 0.10)
     return runner
@@ -62,55 +63,92 @@ def test_warm_cache_performs_zero_simulations(store):
     )
 
 
-def _summaries(store, kind):
-    return sorted(store.root.rglob(f"{kind}-*.json"))
+def _entry_paths(store, has_trace=None):
+    """Current-version fixed-run entry files, optionally filtered by
+    whether they carry a trace."""
+    paths = []
+    for path in sorted(store.root.glob("v*/result-*.json")):
+        entry = _read_entry(path)
+        if "freq_ghz" in entry and (
+            has_trace is None or (entry["trace"] is not None) == has_trace
+        ):
+            paths.append(path)
+    return paths
+
+
+def _read_entry(path):
+    return json.loads(json.loads(path.read_text())["value"])
+
+
+def _write_entry(path, entry):
+    envelope = json.loads(path.read_text())
+    envelope["value"] = json.dumps(entry)
+    path.write_text(json.dumps(envelope))
+
+
+def test_cached_base_trace_round_trips(store):
+    cold = _populate(store).fixed_run("pmd_scale", 1.0)
+    warm = ExperimentRunner(CONFIG, cache=ResultCache(store.root))
+    hot = warm.fixed_run("pmd_scale", 1.0)
+    assert warm.simulations == 0
+    assert hot == cold
+    assert trace_to_dict(hot.trace) == trace_to_dict(cold.trace)
 
 
 def test_truncated_summary_recomputes(store):
     _populate(store)
-    victim = _summaries(store, "fixed")[0]
+    victim = _entry_paths(store)[0]
     victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
 
     warm_store = ResultCache(store.root)
     warm = _rerun(warm_store)
     assert warm.simulations == 1  # only the damaged entry
     assert warm_store.stats.errors == 1
-    assert not victim.exists() or json.loads(victim.read_text())  # rebuilt
+    assert _read_entry(victim)  # rebuilt
 
 
-def test_bitflipped_trace_sidecar_recomputes(store):
+def test_bitflipped_trace_body_recomputes(store):
     _populate(store)
-    (sidecar,) = sorted(store.root.rglob("*.trace.gz"))
-    blob = bytearray(sidecar.read_bytes())
-    blob[len(blob) // 2] ^= 0xFF
-    sidecar.write_bytes(bytes(blob))
+    (victim,) = _entry_paths(store, has_trace=True)
+    text = victim.read_text()
+    # Change one digit inside the inline trace body: every JSON layer
+    # still parses, so only the body's checksum can catch it.
+    at = text.index("total_ns", text.index("format_version"))
+    while not text[at].isdigit():
+        at += 1
+    text = text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:]
+    victim.write_text(text)
+    assert _read_entry(victim)["trace"]["trace"]
 
     warm_store = ResultCache(store.root)
     warm = _rerun(warm_store)
     assert warm.simulations == 1
     assert warm_store.stats.errors == 1
-    # The rebuilt sidecar decompresses cleanly again.
-    rebuilt = sorted(store.root.rglob("*.trace.gz"))
-    assert rebuilt and gzip.decompress(rebuilt[0].read_bytes())
+    # The rebuilt entry passes its checksum again.
+    assert unseal_trace(_read_entry(victim)["trace"]).total_ns > 0
 
 
-def test_missing_trace_sidecar_recomputes(store):
+def test_missing_trace_body_recomputes(store):
     _populate(store)
-    (sidecar,) = sorted(store.root.rglob("*.trace.gz"))
-    sidecar.unlink()
+    (victim,) = _entry_paths(store, has_trace=True)
+    entry = _read_entry(victim)
+    del entry["trace"]["trace"]
+    _write_entry(victim, entry)
 
-    warm = _rerun(ResultCache(store.root))
+    warm_store = ResultCache(store.root)
+    warm = _rerun(warm_store)
     assert warm.simulations == 1
+    assert warm_store.stats.errors == 1
     assert warm.fixed_run("pmd_scale", 1.0).trace is not None
 
 
 def test_garbage_json_and_wrong_key_recompute(store):
     _populate(store)
-    fixed = _summaries(store, "fixed")
+    fixed = _entry_paths(store)
     fixed[0].write_text("not json at all {{{")
-    entry = json.loads(fixed[1].read_text())
-    entry["key"] = "0" * 64  # plausible JSON under the wrong address
-    fixed[1].write_text(json.dumps(entry))
+    envelope = json.loads(fixed[1].read_text())
+    envelope["key"] = "0" * 64  # plausible entry under the wrong address
+    fixed[1].write_text(json.dumps(envelope))
 
     warm_store = ResultCache(store.root)
     warm = _rerun(warm_store)
@@ -123,12 +161,17 @@ def test_schema_version_bump_invalidates(store, monkeypatch):
     monkeypatch.setattr(cache_mod, "CACHE_SCHEMA_VERSION", 999)
     warm_store = ResultCache(store.root)
     warm = _rerun(warm_store)
-    assert warm.simulations == 3  # nothing from v1 is reachable
+    assert warm.simulations == 3  # nothing from the old version is reachable
     assert warm_store.stats.errors == 0  # stale, not corrupt
     # Old entries survive on disk (reported as stale) until `clear`.
     assert warm_store.disk_stats()["stale_entries"] == 3
-    assert warm_store.clear() > 0
-    assert warm_store.disk_stats()["entries"] == 0
+    assert warm_store.disk_stats()["entries"] == 3
+    assert warm_store.clear() == 6
+    assert warm_store.disk_stats() == {
+        "entries": 0,
+        "stale_entries": 0,
+        "size_bytes": 0,
+    }
 
 
 def test_cli_cache_stats_and_clear(store, capsys):
@@ -137,13 +180,37 @@ def test_cli_cache_stats_and_clear(store, capsys):
     _populate(store)
     assert cache_main(["stats", "--cache-dir", str(store.root)]) == 0
     out = capsys.readouterr().out
-    assert "entries:       3" in out
+    assert "entries:       3 (0 stale" in out
     assert str(store.root) in out
 
     assert cache_main(["clear", "--cache-dir", str(store.root)]) == 0
-    assert "removed 4 cached file(s)" in capsys.readouterr().out
+    assert "removed 3 cached file(s)" in capsys.readouterr().out
     warm = _rerun(ResultCache(store.root))
     assert warm.simulations == 3
+
+
+def test_stats_and_clear_leave_fleet_profiles_alone(store, monkeypatch, capsys):
+    # Fleet profiles live under the same root; they are not result
+    # entries, so stats must not count them and clear must not touch them.
+    from repro.experiments.cli import cache_main
+    from repro.fleet.cli import main as fleet_main
+    from repro.fleet.profile_cache import ProfileCache
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(store.root))
+    trace = _populate(store).fixed_run("pmd_scale", 1.0).trace
+    ProfileCache().put("p" * 64, trace)
+    assert fleet_main(["cache", "stats"]) == 0
+    fleet_before = capsys.readouterr().out
+    assert "entries:       1" in fleet_before
+
+    assert cache_main(["stats"]) == 0
+    assert "entries:       3 (0 stale from other versions)" in (
+        capsys.readouterr().out
+    )
+    assert cache_main(["clear"]) == 0
+    assert "removed 3 cached file(s)" in capsys.readouterr().out
+    assert fleet_main(["cache", "stats"]) == 0
+    assert capsys.readouterr().out == fleet_before
 
 
 def test_managed_key_separates_prediction_engines():

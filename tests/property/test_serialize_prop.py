@@ -139,7 +139,7 @@ def test_cache_roundtrip_fixed_run_exact(config, freq):
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(tmp)
         cache.store_fixed("k" * 64, run)
-        loaded = cache.load_fixed("k" * 64, run.benchmark)
+        loaded = cache.load_fixed("k" * 64)
     assert loaded is not None
     assert (loaded.benchmark, loaded.freq_ghz) == (run.benchmark, run.freq_ghz)
     assert loaded.total_ns == run.total_ns
@@ -188,5 +188,5 @@ def test_cache_roundtrip_managed_run_exact(threshold, totals, raw_decisions):
     with tempfile.TemporaryDirectory() as tmp:
         cache = ResultCache(tmp)
         cache.store_managed("m" * 64, run)
-        loaded = cache.load_managed("m" * 64, run.benchmark)
+        loaded = cache.load_managed("m" * 64)
     assert loaded == run  # dataclass equality covers the decision sequence

@@ -6,10 +6,10 @@ import pytest
 
 from repro.arch.specs import haswell_i7_4770k
 from repro.energy.manager import EnergyManager, ManagerConfig
-from repro.experiments.serve_replay import decision_bytes
 from repro.serve.background import BackgroundServer
 from repro.serve.client import ServeClient, replay_decisions
 from repro.serve.server import ServeConfig
+from repro.serve.sessions import decision_bytes
 from repro.sim.run import simulate_managed
 from tests.util import make_program, memory
 
