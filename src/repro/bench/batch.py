@@ -1,19 +1,14 @@
-"""Benchmark for batched simulation: one corpus, batched vs sequential.
+"""Batch bench: one 32-instance corpus, ``run_batch`` vs sequential runs.
 
-The workload is a pinned 32-instance corpus — four synthetic memory-heavy
-families, each simulated at eight chip set points — chosen to look like
-the consumers batching exists for (a figure grid's frequency fan-out, a
-fuzz corpus's seed fan-out). The families are GC-free and lock-free so
-the runs are dominated by static-program timing, the cost
+The workload is a pinned corpus — four synthetic memory-heavy families,
+each simulated at eight chip set points — shaped like the consumers
+batching exists for (a figure grid's frequency fan-out, a fuzz corpus's
+seed fan-out). The families are GC-free and lock-free so the runs are
+dominated by static-program timing, the cost
 :func:`repro.sim.batch.simulate_batch` amortizes: one multi-frequency
 columnar warm per (program, spec) group instead of one full warm per
-instance.
-
-Both sides produce byte-identical traces (checked here on every run, and
-pinned independently by ``tests/sim/test_batch_differential.py`` and the
-``batch-single-identity`` invariant); the benchmark records the wall-clock
-ratio. ``tools/bench_batch.py`` wraps this module into the committed
-``BENCH_batch.json`` artifact and the CI ``bench-batch`` gate.
+instance. Both sides must produce byte-identical traces; the bench exits
+``FATAL`` otherwise.
 """
 
 from __future__ import annotations
@@ -22,8 +17,8 @@ import time
 from typing import Dict, List, Sequence, Tuple
 
 from repro.arch.specs import MachineSpec, haswell_i7_4770k
+from repro.bench.harness import env_scale, wall_stats
 from repro.sim.batch import BatchInstance, run_batch
-from repro.sim.bench import wall_stats
 from repro.sim.run import simulate
 from repro.sim.serialize import trace_bytes
 from repro.workloads.program import Program
@@ -54,15 +49,9 @@ def corpus_families() -> List[SyntheticWorkloadConfig]:
     # the warm the batch engine amortizes, not the per-lane event loop
     # both sides pay identically.
     base = dict(
-        unit_insns=8_000_000,
-        unit_insns_cv=0.25,
-        cpi=0.6,
-        chain_locality=0.4,
-        alloc_bytes_per_unit=0,
-        cs_probability=0.0,
-        heap_mb=64,
-        nursery_mb=16,
-        survival_rate=0.1,
+        unit_insns=8_000_000, unit_insns_cv=0.25, cpi=0.6,
+        chain_locality=0.4, alloc_bytes_per_unit=0, cs_probability=0.0,
+        heap_mb=64, nursery_mb=16, survival_rate=0.1,
     )
     return [
         SyntheticWorkloadConfig(
@@ -116,18 +105,13 @@ def build_corpus(
 
 
 def time_corpus(
-    spec: MachineSpec,
-    instances: Sequence[BatchInstance],
-    reps: int,
+    spec: MachineSpec, instances: Sequence[BatchInstance], reps: int,
 ) -> Tuple[List[float], List[float]]:
     """(sequential walls, batched walls) over ``reps`` runs of each side.
 
-    The sequential side runs :func:`repro.sim.run.simulate` once per
-    instance — a fresh :class:`~repro.sim.system.System` each time, the
-    pre-batch cost of a grid. Each batched rep calls
-    :func:`~repro.sim.batch.run_batch` fresh, so every rep pays its own
-    group prewarms. Exits with FATAL if any lane's trace diverges from
-    its sequential twin.
+    Sequential reps call :func:`~repro.sim.run.simulate` per instance;
+    each batched rep calls :func:`~repro.sim.batch.run_batch` afresh, so
+    it pays its own group prewarms. FATAL when a lane's trace differs.
     """
     sequential_walls: List[float] = []
     batched_walls: List[float] = []
@@ -135,10 +119,8 @@ def time_corpus(
     for _ in range(max(1, reps)):
         start = time.perf_counter()
         sequential_results = [
-            simulate(
-                inst.program, inst.freq_ghz, spec=spec,
-                quantum_ns=inst.quantum_ns,
-            )
+            simulate(inst.program, inst.freq_ghz, spec=spec,
+                     quantum_ns=inst.quantum_ns)
             for inst in instances
         ]
         sequential_walls.append(time.perf_counter() - start)
@@ -156,7 +138,7 @@ def time_corpus(
 
 
 def bench_payload(scale: float = 1.0, reps: int = 3) -> Dict:
-    """The ``BENCH_batch.json`` payload (wall stats follow BENCH_sweep)."""
+    """The ``BENCH_batch.json`` payload."""
     spec, programs, instances = build_corpus(scale)
     sequential_walls, batched_walls = time_corpus(spec, instances, reps)
     sequential = wall_stats(sequential_walls)
@@ -180,3 +162,17 @@ def bench_payload(scale: float = 1.0, reps: int = 3) -> Dict:
             }
         ],
     }
+
+
+def run(args) -> Dict:
+    return bench_payload(scale=env_scale(), reps=args.reps)
+
+
+def summary(payload) -> str:
+    return "\n".join(
+        f"{entry['workload']:>16}: sequential "
+        f"{entry['sequential_wall_s']:.3f}s -> batch "
+        f"{entry['batch_wall_s']:.3f}s = {entry['speedup']:.2f}x "
+        f"({entry['instances']} instances)"
+        for entry in payload["results"]
+    )

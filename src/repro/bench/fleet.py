@@ -1,34 +1,13 @@
-"""Fleet build benchmark: naive vs batched vs warm store.
+"""Fleet bench: one drawn fleet's profile build, naive vs batched vs warm.
 
-The fleet's hot path is *profile building* — running the simulations
-behind every tenant the drawn population needs. This benchmark times
-the same drawn fleet through every build strategy the engine offers,
-coldest to warmest:
-
-``naive``
-    every tenant simulated independently, fresh program, no sharing —
-    what the population costs without any of the machinery;
-``serial``
-    tenants deduplicated into distinct shapes and batched through
-    :mod:`repro.sim.batch` (one shared timing store per workload
-    family), in-process, publishing into a fresh
-    :class:`~repro.fleet.profile_cache.ProfileCache` — the cold build
-    of a ``repro-fleet run``;
-``warm``
-    a second run against the store the serial build just filled —
-    no simulation at all, profiles rehydrate from disk.
-
-Each phase is timed ``reps`` times (min/median/mean via
-:func:`repro.sim.bench.wall_stats`, as is the engine phase), every
-store then drives one full engine run, and all reports must be
-byte-identical on the determinism view — the run aborts otherwise, so
-every speedup is pure mechanics. The gated metrics:
-
-* ``cold_speedup`` — median naive / median serial build (the cold
-  build; CI floors this at 3x);
-* ``warm_speedup`` — median serial cold build / median warm build
-  (what the persistent store saves a repeat run; CI floors this at
-  5x — warm runs drop to engine-only cost).
+``naive`` simulates every tenant on its own; ``serial`` deduplicates
+tenants into shapes, batches them through :mod:`repro.sim.batch` and
+publishes into a fresh :class:`~repro.fleet.profile_cache.ProfileCache`
+(the cold build of ``repro-fleet run``); ``warm`` rebuilds from that
+store with no simulation. Each store then drives one engine run and the
+three reports must be byte-identical on the determinism view — the bench
+exits ``FATAL`` otherwise. ``cold_speedup`` is median naive ÷ median
+serial build, ``warm_speedup`` median serial ÷ median warm build.
 """
 
 from __future__ import annotations
@@ -37,33 +16,32 @@ import tempfile
 import time
 from typing import Dict, List, Optional
 
+from repro.bench.harness import wall_stats
 from repro.common.errors import ReproError
 from repro.fleet.corpus import builtin_templates, draw_tenants
 from repro.fleet.engine import FleetConfig, run_fleet
 from repro.fleet.profile_cache import ProfileCache
 from repro.fleet.profiles import ProfileStore
 from repro.fleet.report import report_identity_bytes
-from repro.sim.bench import wall_stats
 
+#: Tenant-draw seed.
+SEED = 7
 #: Policy the identity runs use (exercises the governor stepping path).
-_BENCH_POLICY = "paper-governor"
+POLICY = "paper-governor"
 
 
-def fleet_bench(
-    tenants: int = 512,
-    seed: int = 7,
-    reps: int = 1,
+def bench_payload(
+    tenants: int = 512, reps: int = 1, seed: int = SEED,
     cache_root: Optional[str] = None,
 ) -> Dict[str, object]:
     """Time every fleet build strategy; verify byte-identity throughout."""
     if reps < 1:
         raise ReproError("reps must be >= 1")
     specs = draw_tenants(builtin_templates(), tenants, seed)
-    config = FleetConfig(tenants=tenants, seed=seed, policy=_BENCH_POLICY)
+    config = FleetConfig(tenants=tenants, seed=seed, policy=POLICY)
 
     with tempfile.TemporaryDirectory(prefix="repro-fleet-bench-") as tmp:
         root = cache_root or tmp
-
         naive_walls: List[float] = []
         serial_walls: List[float] = []
         warm_walls: List[float] = []
@@ -99,18 +77,16 @@ def fleet_bench(
             begin = time.perf_counter()
             reports.append(run_fleet(config, store=store))
             engine_walls.append(time.perf_counter() - begin)
-        views = {report_identity_bytes(report) for report in reports}
-        if len(views) != 1:
-            raise ReproError(
-                "naive/serial/warm fleet runs diverged: the reports are "
-                "not byte-identical on the determinism view"
+        if len({report_identity_bytes(report) for report in reports}) != 1:
+            raise SystemExit(
+                "FATAL: naive/serial/warm fleet runs diverged: the reports "
+                "are not byte-identical on the determinism view"
             )
         cache_disk = warm_store.cache.disk_stats()
 
     naive = wall_stats(naive_walls)
     serial = wall_stats(serial_walls)
     warm = wall_stats(warm_walls)
-    engine = wall_stats(engine_walls)
     cold_run_s = serial["median"] + engine_walls[1]
     warm_run_s = warm["median"] + engine_walls[2]
     return {
@@ -123,7 +99,7 @@ def fleet_bench(
         "naive_build_s": naive,
         "serial_build_s": serial,
         "warm_build_s": warm,
-        "engine_s": engine,
+        "engine_s": wall_stats(engine_walls),
         "cold_speedup": naive["median"] / serial["median"],
         "warm_speedup": serial["median"] / warm["median"],
         "cold_run_s": cold_run_s,
@@ -132,5 +108,24 @@ def fleet_bench(
         "cache_entries": cache_disk["entries"],
         "cache_size_bytes": cache_disk["size_bytes"],
         "identical": True,
-        "policy": _BENCH_POLICY,
+        "policy": POLICY,
     }
+
+
+def run(args) -> Dict[str, object]:
+    return bench_payload(tenants=args.tenants, reps=args.reps)
+
+
+def summary(payload) -> str:
+    return (
+        f"fleet {payload['tenants']} tenants -> {payload['profiles']} "
+        f"profiles in {payload['groups']} groups: naive "
+        f"{payload['naive_build_s']['median']:.3f}s -> serial "
+        f"{payload['serial_build_s']['median']:.3f}s -> warm "
+        f"{payload['warm_build_s']['median']:.3f}s\n"
+        f"cold_speedup {payload['cold_speedup']:.2f}x, warm_speedup "
+        f"{payload['warm_speedup']:.2f}x (engine "
+        f"{payload['engine_s']['median']:.3f}s, cold run "
+        f"{payload['cold_run_s']:.3f}s, warm run "
+        f"{payload['warm_run_s']:.3f}s, reports identical)"
+    )

@@ -1,4 +1,4 @@
-"""``repro-trace`` / ``repro-sim``: simulate, archive, inspect, benchmark.
+"""``repro-trace`` / ``repro-sim``: simulate, archive, inspect, verify.
 
 Subcommands::
 
@@ -6,23 +6,20 @@ Subcommands::
     repro-trace stats xalan-1g.json.gz
     repro-trace predict xalan-1g.json.gz --target 4.0 --model DEP+BURST
     repro-trace predict xalan-1g.json.gz --target 4.0 --all-models
-    repro-sim bench --scale 0.05 --reps 2
+    repro-trace verify xalan-1g.json.gz
 
 The simulate subcommand runs a registered benchmark model at a fixed
 frequency and archives the trace; stats prints the analysis summary
 (trace statistics + criticality stack); predict runs any predictor over an
-archived trace — no re-simulation needed; bench times the DES core on the
-pinned hot-path workload (see :mod:`repro.sim.bench`). ``--profile [PATH]``
-(or ``REPRO_PROFILE=1``) wraps any subcommand in cProfile and writes a
-``.pstats`` dump.
+archived trace — no re-simulation needed; verify runs the physical-invariant
+checks on an archived trace. Benchmarks live in ``python -m repro.bench``.
+``--profile [PATH]`` (or ``REPRO_PROFILE=1``) wraps any subcommand in
+cProfile and writes a ``.pstats`` dump.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
-from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.analysis.criticality import criticality_stack
@@ -110,36 +107,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.batch:
-        from repro.sim.batch_bench import bench_payload as batch_payload
-
-        payload = batch_payload(scale=args.scale, reps=args.reps)
-        for entry in payload["results"]:
-            print(
-                f"{entry['workload']:>16}: sequential "
-                f"{entry['sequential_wall_s']:.3f}s -> batch "
-                f"{entry['batch_wall_s']:.3f}s = {entry['speedup']:.2f}x "
-                f"({entry['instances']} instances)"
-            )
-    else:
-        from repro.sim.bench import bench_payload
-
-        payload = bench_payload(
-            scales=[args.scale], reps=args.reps, engines=args.engines
-        )
-        for entry in payload["results"]:
-            print(
-                f"{entry['engine']:>8}: {entry['wall_s']:.3f}s "
-                f"({entry['events_per_sec']:,.0f} events/s, "
-                f"{entry['segments_per_sec']:,.0f} segments/s)"
-            )
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro-trace`` argument parser."""
     parser = argparse.ArgumentParser(
@@ -184,28 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("trace", help="archived trace path")
     verify.set_defaults(func=_cmd_verify)
-
-    bench = sub.add_parser(
-        "bench", parents=[profiled],
-        help="time the DES core on the pinned hot-path workload",
-    )
-    bench.add_argument(
-        "--scale", type=float,
-        default=float(os.environ.get("REPRO_SCALE", "1.0")),
-        help="workload length scale (default REPRO_SCALE or 1.0)",
-    )
-    bench.add_argument("--reps", type=int, default=3,
-                       help="repetitions per engine (min is reported)")
-    bench.add_argument("--engines", nargs="+", default=["fast", "classic"],
-                       choices=["fast", "classic"])
-    bench.add_argument(
-        "--batch", action="store_true",
-        help="time the pinned 32-instance batched-simulation corpus "
-             "(simulate_batch vs sequential) instead of the DES hot path",
-    )
-    bench.add_argument("--out", default=None,
-                       help="also write the JSON payload here")
-    bench.set_defaults(func=_cmd_bench)
     return parser
 
 

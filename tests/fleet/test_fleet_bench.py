@@ -1,18 +1,24 @@
-"""The fleet bench payload: shape, identity gate, validation."""
+"""The fleet bench payload: shape, identity gate, validation.
+
+These cover :mod:`repro.bench.fleet`; ``tests/bench/test_fleet.py`` holds
+the rest of that module's tests.
+"""
 
 import pytest
 
+from repro.bench.fleet import bench_payload
 from repro.common.errors import ReproError
-from repro.fleet.fleet_bench import fleet_bench
 
 
 def test_reps_must_be_positive():
     with pytest.raises(ReproError):
-        fleet_bench(tenants=2, seed=1, reps=0)
+        bench_payload(tenants=2, seed=1, reps=0)
 
 
 def test_payload_shape_and_identity_gate(tmp_path):
-    payload = fleet_bench(tenants=5, seed=3, reps=1, cache_root=str(tmp_path))
+    payload = bench_payload(
+        tenants=5, seed=3, reps=1, cache_root=str(tmp_path)
+    )
     assert payload["tenants"] == 5
     assert payload["identical"] is True
     assert payload["profiles"] >= 1

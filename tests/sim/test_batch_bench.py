@@ -1,8 +1,12 @@
-"""The pinned batched-simulation benchmark corpus and its JSON payload."""
+"""The pinned batched-simulation benchmark corpus and its JSON payload.
+
+These cover :mod:`repro.bench.batch`; ``tests/bench/test_batch.py`` holds
+the rest of that module's tests.
+"""
 
 import pytest
 
-from repro.sim.batch_bench import (
+from repro.bench.batch import (
     CORPUS_FREQS,
     bench_payload,
     build_corpus,

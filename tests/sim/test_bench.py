@@ -1,13 +1,18 @@
-"""The pinned hot-path benchmark workload and its JSON payload."""
+"""The pinned hot-path benchmark workload and its JSON payload.
+
+These cover :mod:`repro.bench.hotpath`; ``tests/bench/test_hotpath.py``
+holds the rest of that module's tests.
+"""
 
 import pytest
 
-from repro.sim.bench import (
+from repro.bench.harness import wall_stats
+from repro.bench.hotpath import (
     BENCH_FREQ_GHZ,
+    SEED_WALL_S,
     bench_payload,
     hotpath_stress_config,
     run_bench,
-    wall_stats,
 )
 
 SCALE = 0.001  # a few hundred units: fast, still exercises the full path
@@ -53,23 +58,19 @@ def test_engines_simulate_identical_workloads():
 
 
 def test_bench_payload_shape():
-    payload = bench_payload(
-        scales=(SCALE,), reps=1, engines=("fast",), baseline_wall_s=1.0
-    )
+    payload = bench_payload(scale=SCALE, reps=1, engines=("fast",))
     assert payload["workload"] == "hotpath_stress"
     assert payload["freq_ghz"] == BENCH_FREQ_GHZ
+    assert payload["scales"] == [SCALE]
     assert len(payload["results"]) == 1
     entry = payload["results"][0]
     assert entry["engine"] == "fast"
-    # baseline_wall_s applies only to full-scale entries.
+    # The seed-engine wall applies only to full-scale entries.
     assert "speedup_vs_baseline" not in entry
-    assert payload["baseline_wall_s"] == 1.0
+    assert payload["baseline_wall_s"] == SEED_WALL_S
 
 
 def test_bench_payload_full_scale_speedup_field():
-    payload = bench_payload(
-        scales=(SCALE,), reps=1, engines=("fast",), baseline_wall_s=None
-    )
-    assert "baseline_wall_s" not in payload
+    payload = bench_payload(scale=SCALE, reps=1, engines=("classic",))
     with pytest.raises(KeyError):
         payload["results"][0]["speedup_vs_baseline"]
